@@ -1,35 +1,31 @@
 """Kernel throughput benchmark + CI regression gate.
 
-Measures events/second of the production kernels (``kernel="event"``
-skip-ahead and ``kernel="adaptive"`` density-switched vectorized) against
-the per-tick scanning reference (``kernel="tick"``) on fixed workloads,
-and records all of them into ``BENCH_kernel.json`` at the repo root
-(schema v2, one entry per measured kernel)::
+Measures events/second of the production kernel (``kernel="event"``:
+the skip-ahead event queue, and the router with its size-selected
+vectorized step) against the per-tick scanning reference
+(``kernel="tick"``) on fixed workloads, and records both into
+``BENCH_kernel.json`` at the repo root (schema v2, one entry per
+measured kernel)::
 
     "workloads": {
       "<name>": {
         "floor": 1.0,                # absolute speedup floor (gated kernel)
         "baseline": {...tick...},
         "kernels": {
-          "event":    {..., "speedup": <vs tick>},
-          "adaptive": {..., "speedup": <vs tick>}
+          "event": {..., "speedup": <vs tick>}
         }
       }
     }
 
 The gate (``--check``) is per-workload and two-sided:
 
-* the **gated kernel** (``adaptive`` — what the experiments run) must
-  beat the tick reference on *every* workload: ``speedup >= floor``
-  (1.0) absolutely, regardless of what the committed file says.  This is
-  the rule that would have rejected the event kernel's 0.7x on
-  ``routing_multiport_dense``.
+* the **gated kernel** (``event`` — the default every experiment
+  runs) must beat the tick reference on *every* workload:
+  ``speedup >= floor`` (1.0) absolutely, regardless of what the
+  committed file says.
 * every measured kernel must also stay within ``gate_ratio`` (0.8) of
   its own committed speedup — the machine-speed-robust regression check
   (ratios of ratios cancel the host's absolute speed).
-
-The ``event`` kernel keeps only the ratio gate: its dense-workload
-slowdown is the documented reason the adaptive kernel exists.
 
 Usage::
 
@@ -95,10 +91,10 @@ GATE_RATIO = 0.8
 FLOOR = 1.0
 
 #: The kernel the floor applies to — what experiments actually run.
-GATED_KERNEL = "adaptive"
+GATED_KERNEL = "event"
 
 #: Kernels measured against the tick baseline, in report order.
-MEASURED_KERNELS = ("event", "adaptive")
+MEASURED_KERNELS = ("event",)
 
 
 def _run_bsp_on_logp_sweep(kernel: str, obs=None) -> int:
@@ -161,8 +157,8 @@ def _routing_inputs(p: int, h: int, seed: int):
 
 def _run_routing_multiport_dense(kernel: str) -> int:
     """Dense multi-port routing — the tick scan's best case (every
-    created edge stays busy) and the event kernel's worst; the workload
-    the adaptive kernel's vectorized dense scanner exists for."""
+    created edge stays busy) and the scalar active-set loop's worst; at
+    16k packets the router takes its vectorized step."""
     topo, paths = _routing_inputs(64, 256, 1)
     out = route_packets(topo, paths, RoutingConfig(kernel=kernel))
     return out.kernel.events
@@ -172,7 +168,7 @@ def _run_routing_multiport_dense_xl(kernel: str) -> int:
     """The dense regime at ROADMAP scale: a 512-relation on the
     256-node hypercube (~half a million transmissions, ~2k live links
     per step) — large enough that per-step array passes amortize and the
-    vectorized scanner pulls away from both scalar kernels."""
+    vectorized step pulls away from the scalar reference scan."""
     topo, paths = _routing_inputs(256, 512, 1)
     out = route_packets(topo, paths, RoutingConfig(kernel=kernel))
     return out.kernel.events

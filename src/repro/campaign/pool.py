@@ -20,6 +20,12 @@ Failure philosophy mirrors :mod:`repro.faults`, lifted to the harness:
   the budget is spent, the parent finishes the remaining points serially
   rather than deadlock.
 
+Each worker reports on its own pipe, whose ``send`` returns only once
+the frame is written.  Everything a worker reported before it died is
+therefore readable after its death, and the parent reads it all before
+charging the crash: only a point whose ``start`` has no matching
+``done`` is ever recorded as ``crashed``.
+
 Every completed point is reported to the caller *as it lands* via the
 ``on_result`` callback (the runner appends it to the
 :class:`~repro.campaign.store.ResultStore` immediately — that is what
@@ -31,6 +37,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue as queue_mod
 import time
+from multiprocessing.connection import Connection, wait as wait_ready
 
 __all__ = ["run_pool", "run_serial", "execute_point"]
 
@@ -150,69 +157,61 @@ def run_serial(target_fn, items, timeout_s, on_result) -> None:
         on_result(entry)
 
 
-def _worker_main(worker_id: int, target_name: str, timeout_s, task_q, result_q):
-    """Worker process body: pull chunks until the ``None`` sentinel."""
+def _worker_main(worker_id: int, target_name: str, timeout_s, task_q, conn):
+    """Worker process body: pull chunks until the ``None`` sentinel,
+    reporting each step on ``conn`` (this worker's own pipe)."""
     from repro.campaign.targets import resolve_target
 
     try:
         target_fn = resolve_target(target_name)
     except Exception as exc:  # bad target: fail fast, visibly
-        result_q.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
+        conn.send(("fatal", f"{type(exc).__name__}: {exc}"))
         return
     busy = 0.0
     while True:
         chunk = task_q.get()
         if chunk is None:
             break
-        result_q.put(("chunk", worker_id, [item["key"] for item in chunk]))
+        conn.send(("chunk", [item["key"] for item in chunk]))
         for item in chunk:
-            result_q.put(("start", worker_id, item["key"]))
+            conn.send(("start", item["key"]))
             entry = execute_point(target_fn, item, timeout_s)
             entry["worker"] = worker_id
             busy += entry["wall_s"]
-            result_q.put(("done", worker_id, entry))
-    result_q.put(("exit", worker_id, busy))
+            conn.send(("done", entry))
+    conn.send(("exit", busy))
 
 
-def _isolated_main(target_name: str, item: dict, timeout_s, result_q) -> None:
+def _isolated_main(target_name: str, item: dict, timeout_s, conn) -> None:
     """Single-shot subprocess body for :func:`_run_isolated`."""
     from repro.campaign.targets import resolve_target
 
-    entry = execute_point(resolve_target(target_name), item, timeout_s)
-    result_q.put(entry)
+    conn.send(execute_point(resolve_target(target_name), item, timeout_s))
 
 
 def _run_isolated(ctx, target_name: str, item: dict, timeout_s) -> dict:
     """Run one point in a dedicated subprocess; a dying process yields a
     ``crashed`` entry instead of killing the caller."""
-    result_q = ctx.Queue()
+    reader, writer = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_isolated_main,
-        args=(target_name, item, timeout_s, result_q),
+        args=(target_name, item, timeout_s, writer),
         daemon=True,
     )
     t0 = time.perf_counter()
     proc.start()
-    grace = (timeout_s or 0) + 30.0
+    writer.close()  # the child holds the only write end: EOF means it died
     entry = None
-    deadline = time.monotonic() + grace
-    while time.monotonic() < deadline:
+    # Readable once the entry is written, or at EOF when the child died.
+    if reader.poll((timeout_s or 0) + 30.0):
         try:
-            entry = result_q.get(timeout=0.25)
-            break
-        except queue_mod.Empty:
-            if not proc.is_alive():
-                # One more non-blocking look: the child may have exited
-                # right after queueing its result.
-                try:
-                    entry = result_q.get_nowait()
-                except queue_mod.Empty:
-                    entry = None
-                break
+            entry = reader.recv()
+        except (EOFError, OSError):
+            entry = None
     if proc.is_alive():
         proc.terminate()
     proc.join(timeout=2.0)
-    result_q.cancel_join_thread()
+    reader.close()
     if entry is None:
         entry = {
             "key": item["key"],
@@ -288,22 +287,27 @@ def run_pool(
 
     ctx = mp.get_context()
     task_q = ctx.Queue()
-    result_q = ctx.Queue()
     for chunk in _chunks(items, workers):
         task_q.put(chunk)
 
-    procs: dict[int, mp.Process] = {}
+    procs: dict[int, mp.Process] = {}  # every worker ever started
+    conns: dict[int, Connection] = {}  # worker -> its report pipe, until EOF
+    unreaped: set[int] = set()  # workers whose end is not yet handled
     next_id = 0
 
     def _spawn() -> None:
         nonlocal next_id
+        reader, writer = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_worker_main,
-            args=(next_id, target_name, timeout_s, task_q, result_q),
+            args=(next_id, target_name, timeout_s, task_q, writer),
             daemon=True,
         )
         proc.start()
+        writer.close()  # the worker holds the only write end
         procs[next_id] = proc
+        conns[next_id] = reader
+        unreaped.add(next_id)
         next_id += 1
 
     for _ in range(workers):
@@ -312,9 +316,8 @@ def run_pool(
     remaining = {item["key"] for item in items}
     by_key = {item["key"]: item for item in items}
     claimed: dict[int, list[str]] = {}  # worker -> chunk keys not yet done
-    started: dict[int, str] = {}  # worker -> key currently executing
+    started: dict[int, str] = {}  # worker -> key started and not yet done
     respawn_budget = workers
-    sentinels_sent = False
     exited: set[int] = set()
     done_count = 0
     stopping = False
@@ -324,6 +327,45 @@ def run_pool(
         remaining.discard(entry["key"])
         on_result(entry)
         done_count += 1
+
+    def _on_message(worker_id: int, msg: tuple) -> None:
+        nonlocal stopping
+        kind, payload = msg
+        if kind == "chunk":
+            claimed[worker_id] = list(payload)
+        elif kind == "start":
+            started[worker_id] = payload
+        elif kind == "done":
+            key = payload["key"]
+            if started.get(worker_id) == key:
+                del started[worker_id]
+            keys = claimed.get(worker_id)
+            if keys and key in keys:
+                keys.remove(key)
+            if key in remaining and not stopping:
+                stats.busy_s += payload.get("wall_s", 0.0)
+                _record(payload)
+                if stop_after is not None and done_count >= stop_after:
+                    stopping = True
+        elif kind == "exit":
+            exited.add(worker_id)
+        elif kind == "fatal":
+            for proc in procs.values():
+                proc.terminate()
+            raise RuntimeError(f"campaign worker {worker_id}: {payload}")
+
+    def _drain(worker_id: int) -> None:
+        """Handle every frame the worker has written so far; at EOF its
+        pipe is closed and leaves the wait set."""
+        conn = conns.get(worker_id)
+        if conn is None:
+            return
+        try:
+            while conn.poll():
+                _on_message(worker_id, conn.recv())
+        except (EOFError, OSError):
+            del conns[worker_id]
+            conn.close()
 
     def _handle_crash(worker_id: int) -> None:
         """Fail the in-flight point, requeue the rest of the chunk."""
@@ -348,10 +390,36 @@ def run_pool(
         requeue = [by_key[k] for k in chunk_keys if k in remaining]
         if requeue:
             task_q.put(requeue)
-        if respawn_budget > 0 and not stopping:
+        if respawn_budget > 0 and remaining and not stopping:
             respawn_budget -= 1
             stats.respawns += 1
             _spawn()
+
+    def _reap(worker_id: int) -> None:
+        """The worker's process has ended: read everything it reported,
+        then charge a crash only if it never said it was exiting."""
+        _drain(worker_id)
+        conn = conns.pop(worker_id, None)
+        if conn is not None:  # a surviving child of the point keeps it open
+            conn.close()
+        unreaped.discard(worker_id)
+        procs[worker_id].join(timeout=0)
+        if worker_id not in exited:
+            _handle_crash(worker_id)
+
+    def _pump(timeout: float) -> bool:
+        """Wait up to ``timeout`` for reports or worker exits and handle
+        them; False when nothing arrived."""
+        pipes = {conn: wid for wid, conn in conns.items()}
+        sentinels = {procs[wid].sentinel: wid for wid in unreaped}
+        ready = wait_ready([*pipes, *sentinels], timeout)
+        for obj in ready:
+            if obj in pipes:
+                _drain(pipes[obj])
+        for obj in ready:
+            if obj in sentinels:
+                _reap(sentinels[obj])
+        return bool(ready)
 
     def _finish_isolated() -> None:
         """Last resort (all workers dead, or orphaned points nobody will
@@ -374,82 +442,38 @@ def run_pool(
 
     idle_rounds = 0
     while remaining and not stopping:
-        try:
-            msg = result_q.get(timeout=0.25)
-        except queue_mod.Empty:
-            msg = None
-        if msg is not None:
-            idle_rounds = 0
-            kind, worker_id, payload = msg
-            if kind == "chunk":
-                claimed[worker_id] = list(payload)
-            elif kind == "start":
-                started[worker_id] = payload
-            elif kind == "done":
-                started.pop(worker_id, None)
-                keys = claimed.get(worker_id)
-                if keys and payload["key"] in keys:
-                    keys.remove(payload["key"])
-                stats.busy_s += payload.get("wall_s", 0.0)
-                _record(payload)
-                if stop_after is not None and done_count >= stop_after:
-                    stopping = True
-            elif kind == "exit":
-                exited.add(worker_id)
-            elif kind == "fatal":
-                for proc in procs.values():
-                    proc.terminate()
-                raise RuntimeError(f"campaign worker {worker_id}: {payload}")
-            continue
-        # No message: reap dead workers and their in-flight work.
-        idle_rounds += 1
-        for wid, proc in list(procs.items()):
-            if wid in exited or proc.is_alive():
-                continue
-            proc.join(timeout=0)
-            exited.add(wid)
-            _handle_crash(wid)
-        if remaining and all(
-            wid in exited or not p.is_alive() for wid, p in procs.items()
-        ):
+        if not unreaped:
             # Every worker is gone and the respawn budget is spent.
             _finish_isolated()
             break
-        if remaining and idle_rounds >= 20 and not started:
+        if _pump(0.25):
+            idle_rounds = 0
+            continue
+        idle_rounds += 1
+        if idle_rounds >= 20 and not started:
             # Workers alive but idle, nothing in flight, results missing:
             # a worker died between claiming a chunk and reporting it.
             # The orphaned points will never be claimed — run them here.
             _finish_isolated()
             break
 
-    # Shut down: sentinels for live workers, terminate on stop_after.
+    # Shut down: terminate on stop_after, else sentinels for live workers.
     if stopping:
         for proc in procs.values():
             if proc.is_alive():
                 proc.terminate()
-    elif not sentinels_sent:
-        for _ in procs:
+    else:
+        for _ in unreaped:
             task_q.put(None)
-        sentinels_sent = True
         deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and any(
-            p.is_alive() for p in procs.values()
-        ):
-            try:
-                msg = result_q.get(timeout=0.1)
-            except queue_mod.Empty:
-                continue
-            if msg[0] == "done":  # late result from a straggler
-                started.pop(msg[1], None)
-                if msg[2]["key"] in remaining:
-                    stats.busy_s += msg[2].get("wall_s", 0.0)
-                    _record(msg[2])
-        for proc in procs.values():
-            if proc.is_alive():
-                proc.terminate()
+        while unreaped and time.monotonic() < deadline:
+            _pump(0.1)
+        for wid in unreaped:
+            procs[wid].terminate()
     for proc in procs.values():
         proc.join(timeout=2.0)
+    for conn in conns.values():
+        conn.close()
     task_q.cancel_join_thread()
-    result_q.cancel_join_thread()
     stats.wall_s = time.perf_counter() - t_start
     return stats

@@ -9,7 +9,7 @@ topology, parameter overrides, seed, kernel, obs flags — so a request
 can cross a socket, live in a campaign grid point, or be cached under a
 content-addressed key, and always name the exact same computation::
 
-    req = RunRequest(chain="bsp-on-logp-on-network", p=8, kernel="adaptive")
+    req = RunRequest(chain="bsp-on-logp-on-network", p=8, kernel="tick")
     result = Stack.from_request(req).run()
     req == Stack.from_request(req).to_request()          # round-trips
     RunRequest.from_dict(req.to_dict()) == req           # and as JSON
@@ -188,8 +188,9 @@ class RunRequest:
         Deterministic seed, forwarded to the seeded program factories
         and to hosts with randomized protocols.
     kernel:
-        Event-queue kernel (``event``/``tick``/``adaptive``) for layers
-        that own a queue; ``None`` keeps each layer's own default.
+        Kernel (``event`` production / ``tick`` reference oracle) for
+        layers that own an event queue or router; ``None`` keeps each
+        layer's own default.  Any other name is a ``ParameterError``.
     metrics:
         Obs flag: compute the point with an attached
         :class:`~repro.obs.Observation` and embed its registry in the

@@ -196,8 +196,8 @@ class Stack:
 # the component that owns an event queue — the host machine's
 # ``kernel=`` argument (folded into ``machine_kwargs`` for the theorem
 # simulators) or the router's ``RoutingConfig.kernel`` — so
-# ``.on_logp(params, kernel="adaptive")`` selects the kernel no matter
-# how deep the simulator plumbing sits.
+# ``.on_logp(params, kernel="tick")`` selects the kernel no matter how
+# deep the simulator plumbing sits.
 
 
 def _fold_kernel_into_machine(opts: dict) -> None:

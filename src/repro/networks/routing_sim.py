@@ -30,18 +30,22 @@ import numpy as np
 from repro.engine.core import counters_for
 from repro.engine.result import MachineResult
 from repro.errors import RoutingError
-from repro.models.params import _bind_fields, resolve_aliases
 from repro.networks.topology import Topology
 from repro.perf.counters import KernelCounters
-from repro.perf.density import DensityEstimator
 from repro.perf.event_queue import KERNELS
 from repro.routing.workloads import balanced_h_relation
 from repro.util.rng import make_rng
 
 __all__ = ["RoutingConfig", "RoutingOutcome", "route_packets", "route_h_relation"]
 
+#: Packet count from which :func:`route_packets` moves a multi-port FIFO
+#: packet set with the numpy array pass instead of the scalar
+#: active-set loop.  Below it the per-step array overhead outweighs the
+#: work it vectorizes (see docs/PERF.md for the measured crossover).
+VECTORIZE_MIN_PACKETS = 512
 
-@dataclass(frozen=True, init=False)
+
+@dataclass(frozen=True)
 class RoutingConfig:
     """Simulator knobs.
 
@@ -53,20 +57,15 @@ class RoutingConfig:
     transmission attempt fails (the packet stays queued and is retried on
     a later step — a lossy link with link-level retransmission).  Faults
     are drawn from a stream seeded by ``seed``, so a fixed seed
-    reproduces the exact same fault pattern.  (``fault_seed=`` is the
-    deprecated spelling — the unified keyword vocabulary uses one
-    ``seed`` everywhere; see docs/ARCHITECTURE.md.)
+    reproduces the exact same fault pattern.
     ``kernel``: ``"event"`` visits only edges/nodes with queued packets
-    each step (active-set scheduling); ``"tick"`` is the reference scan
-    over every edge ever created; ``"adaptive"`` measures live link
-    occupancy per step and switches (with hysteresis) between the
-    event kernel's active-set scheduling and a numpy-vectorized dense
-    scanner that moves every transmitting packet in one array pass —
-    the multiport/FIFO hot path (under ``single_port`` or
-    ``priority="farthest"`` it falls back to the event path, relabelled).
-    All kernels execute bit-identically — same transmission order, same
-    fault-stream draws — the kernel only changes how the next actionable
-    work is *found and dispatched*.
+    each step; ``"tick"`` is the reference scan over every edge ever
+    created.  Under ``"event"``, :func:`route_packets` moves large
+    multi-port FIFO packet sets (``VECTORIZE_MIN_PACKETS`` or more) in
+    one numpy array pass per step, and everything else through the
+    scalar active-set loop.  All paths execute bit-identically — same
+    transmission order, same fault-stream draws — the kernel only
+    changes how the next actionable work is *found and dispatched*.
     """
 
     single_port: bool = False
@@ -76,26 +75,6 @@ class RoutingConfig:
     link_fault_rate: float = 0.0
     seed: int = 0
     kernel: str = "event"
-
-    _SPEC = (
-        ("single_port", False),
-        ("priority", "fifo"),
-        ("valiant", False),
-        ("max_steps", 1_000_000),
-        ("link_fault_rate", 0.0),
-        ("seed", 0),
-        ("kernel", "event"),
-    )
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs = resolve_aliases(
-            "RoutingConfig",
-            kwargs,
-            aliases={},
-            deprecated={"fault_seed": "seed"},
-        )
-        _bind_fields(self, self._SPEC, args, kwargs)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.link_fault_rate < 1.0:
@@ -107,11 +86,6 @@ class RoutingConfig:
             raise RoutingError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
             )
-
-    @property
-    def fault_seed(self) -> int:
-        """Deprecated read alias for :attr:`seed`."""
-        return self.seed
 
 
 @dataclass
@@ -163,6 +137,12 @@ def route_packets(
     destination node).  Returns timing statistics; raises
     :class:`~repro.errors.RoutingError` if ``max_steps`` is exceeded.
 
+    The input picks the step: ``kernel="tick"`` runs the reference scan;
+    otherwise a multi-port FIFO set of ``VECTORIZE_MIN_PACKETS`` or more
+    packets runs the vectorized step, and anything else the scalar
+    active-set loop.  Both production paths give identical results and
+    counters.
+
     ``obs`` (an enabled :class:`~repro.obs.Observation`) additionally
     collects per-link occupancy counts and — when tracing — one span per
     successful hop; the recording is purely additive and never alters
@@ -174,8 +154,12 @@ def route_packets(
         obs = None
     if config.kernel == "tick":
         outcome, occupancy, hops = _route_packets_tick(paths, config, obs)
-    elif config.kernel == "adaptive":
-        outcome, occupancy, hops = _route_packets_adaptive(paths, config, obs)
+    elif (
+        not config.single_port
+        and config.priority == "fifo"
+        and len(paths) >= VECTORIZE_MIN_PACKETS
+    ):
+        outcome, occupancy, hops = _route_packets_vectorized(paths, config, obs)
     else:
         outcome, occupancy, hops = _route_packets_event(paths, config, obs)
     if obs is not None:
@@ -455,43 +439,31 @@ def _route_packets_tick(
     return outcome, occupancy, hops
 
 
-def _route_packets_adaptive(
+def _route_packets_vectorized(
     paths: list[list[int]], config: RoutingConfig, obs=None
 ):
-    """Adaptive kernel: density-switched active-set / vectorized scan.
+    """Multi-port FIFO routing with one numpy array pass per step.
 
     Link state lives in numpy arrays: paths are flattened into
     ``flat_nodes`` with per-packet ``(path_off, path_len, pos)``, and each
     edge queue is an intrusive linked list over packets (``qhead[e]``,
     ``qtail[e]``, ``qnext[pkt]``, ``qlen[e]``) — every packet sits in at
-    most one queue, so one ``qnext`` array suffices.  Each step measures
-    occupancy (``active edges / created edges``); a
-    :class:`~repro.perf.density.DensityEstimator` picks the mode with
-    hysteresis:
-
-    * **sparse** — a Python loop over the active edges (the event
-      kernel's schedule, on array state);
-    * **dense** — one array pass: batched fault draws, gathered FIFO
-      pops, vectorized arrival detection, and grouped stable-sort
-      appends.
+    most one queue, so one ``qnext`` array suffices.  Each step is one
+    array pass: batched fault draws, gathered FIFO pops, vectorized
+    arrival detection, and grouped stable-sort appends.
 
     Bit-identity with the scalar kernels holds because (a) the active
-    set is iterated in sorted edge-creation order in both modes — the
-    same sequence the reference scan produces, (b) a batched
-    ``rng.random(n)`` draws the exact scalar fault stream (numpy's
-    Generator fills arrays with sequential draws), (c) FIFO append order
-    is preserved by the stable sort, and (d) new edges are numbered in
-    first-use order within each batch.  Only the multiport/FIFO path is
-    vectorized: ``single_port`` or ``priority="farthest"`` delegates to
-    the event kernel (relabelled, so results still say "adaptive").
+    edges are taken in sorted edge-creation order — the same sequence
+    the reference scan produces, (b) a batched ``rng.random(n)`` draws
+    the exact scalar fault stream (numpy's Generator fills arrays with
+    sequential draws), (c) FIFO append order is preserved by the stable
+    sort, and (d) new edges are numbered in first-use order within each
+    batch.  The counters read exactly as the active-set path's, so the
+    result reports the ``"event"`` kernel.  Callers guarantee
+    multi-port and FIFO (see :func:`route_packets`).
     """
-    if config.single_port or config.priority != "fifo":
-        outcome, occupancy, hops = _route_packets_event(paths, config, obs)
-        outcome.kernel.kernel = "adaptive"
-        return outcome, occupancy, hops
-
     n_pkts = len(paths)
-    counters = counters_for("adaptive")
+    counters = counters_for("event")
     occupancy: dict[tuple[int, int], int] | None = {} if obs is not None else None
     hops: list[tuple[int, int, int, int]] | None = (
         [] if (obs is not None and obs.tracing) else None
@@ -582,7 +554,6 @@ def _route_packets_adaptive(
     fault_rate = config.link_fault_rate
     fault_rng = make_rng(config.seed) if fault_rate > 0 else None
     retransmissions = 0
-    est = DensityEstimator(enter=0.5, exit=0.25, alpha=0.5)
 
     time = 0
     while live:
@@ -593,57 +564,30 @@ def _route_packets_adaptive(
         actives = np.flatnonzero(qlen[:n_edges] > 0)
         n_active = int(actives.size)
         counters.ticks_skipped += n_edges - n_active
-        dense = est.observe(n_active / n_edges) if n_edges else False
         if not n_active:
             raise RoutingError("routing deadlock: live packets but no moves")
         counters.events += n_active
-        if dense:
-            counters.dense_batches += 1
-            if fault_rng is not None:
-                ok = fault_rng.random(n_active) >= fault_rate
-                retransmissions += n_active - int(ok.sum())
-                edges = actives[ok]
-            else:
-                edges = actives
-            pkts = qhead[edges]
-            qhead[edges] = qnext[pkts]
-            qlen[edges] -= 1
-            if occ_counts is not None:
-                occ_counts[edges] += 1
-                if hops is not None:
-                    us, vs = np.divmod(key_of_eid[edges], K)
-                    for pkt, u, v in zip(pkts.tolist(), us.tolist(), vs.tolist()):
-                        hops.append((time, pkt, u, v))
-            pos[pkts] += 1
-            arrived = pos[pkts] + 1 >= path_len[pkts]
-            live -= int(arrived.sum())
-            append(pkts[~arrived])
+        if fault_rng is not None:
+            ok = fault_rng.random(n_active) >= fault_rate
+            retransmissions += n_active - int(ok.sum())
+            edges = actives[ok]
         else:
-            moved: list[int] = []
-            for e in actives.tolist():
-                if fault_rng is not None and fault_rng.random() < fault_rate:
-                    retransmissions += 1
-                    continue
-                pkt = int(qhead[e])
-                qhead[e] = qnext[pkt]
-                qlen[e] -= 1
-                moved.append(pkt)
-                if occ_counts is not None:
-                    occ_counts[e] += 1
-                    if hops is not None:
-                        key = int(key_of_eid[e])
-                        hops.append((time, pkt, key // K, key % K))
-            movers: list[int] = []
-            for pkt in moved:
-                pos[pkt] += 1
-                if pos[pkt] + 1 >= path_len[pkt]:
-                    live -= 1
-                else:
-                    movers.append(pkt)
-            append(np.asarray(movers, dtype=np.int64))
+            edges = actives
+        pkts = qhead[edges]
+        qhead[edges] = qnext[pkts]
+        qlen[edges] -= 1
+        if occ_counts is not None:
+            occ_counts[edges] += 1
+            if hops is not None:
+                us, vs = np.divmod(key_of_eid[edges], K)
+                for pkt, u, v in zip(pkts.tolist(), us.tolist(), vs.tolist()):
+                    hops.append((time, pkt, u, v))
+        pos[pkts] += 1
+        arrived = pos[pkts] + 1 >= path_len[pkts]
+        live -= int(arrived.sum())
+        append(pkts[~arrived])
 
     counters.queue_highwater = max_queue
-    est.publish(counters)
     if occupancy is not None:
         for eid in range(n_edges):
             c = int(occ_counts[eid])

@@ -17,17 +17,6 @@ how the next event is located:
   exists to avoid.  It is kept as the equivalence oracle for the golden
   trace suite and as the measured baseline of ``bench_kernel``.
 
-* :class:`AdaptiveEventQueue` — the density-aware kernel.  Same bucket
-  structure as :class:`IndexedEventQueue`, but a
-  :class:`~repro.perf.density.DensityEstimator` watches events-per-tick
-  and, in *dense* regimes (nearly every tick populated), probes the
-  ``t + 1`` bucket directly instead of going through the min-heap —
-  consecutive timestamps are located in O(1) and the heap entries are
-  reclaimed lazily.  In sparse regimes it behaves exactly like the
-  indexed queue.  Mode residency, switch counts, and density samples
-  are reported on its counters; event order is identical in both modes
-  by construction.
-
 Ordering contract (shared by both implementations):
 
 * pushes during the drain of time ``t``'s batch may target ``t`` itself
@@ -46,20 +35,18 @@ from bisect import insort
 from typing import Any
 
 from repro.perf.counters import KernelCounters
-from repro.perf.density import DensityEstimator
 
 __all__ = [
     "IndexedEventQueue",
     "TickScanQueue",
-    "AdaptiveEventQueue",
     "KERNELS",
     "make_event_queue",
 ]
 
-#: Known kernel names: the two PR-2 kernels in (new, reference) order,
-#: plus the density-aware adaptive kernel.  Suites parameterized over
-#: this tuple (golden traces, ordering contract) cover all three.
-KERNELS = ("event", "tick", "adaptive")
+#: Known kernel names, in (production, reference) order.  Suites
+#: parameterized over this tuple (golden traces, ordering contract)
+#: cover both.
+KERNELS = ("event", "tick")
 
 
 class IndexedEventQueue:
@@ -107,12 +94,6 @@ class IndexedEventQueue:
         self._size += 1
         self.counters.queue_highwater = max(self.counters.queue_highwater, self._size)
 
-    def sync_counters(self) -> None:
-        """Bring lazily-maintained counter fields up to date.  A no-op
-        here; the adaptive queue overrides it (its density totals are
-        synced at read points rather than per batch).  Drivers call it
-        before handing counters to a result."""
-
     def pop(self) -> tuple[int, int, int, Any] | None:
         """Next event as ``(time, kind, pid, data)``, or ``None``."""
         if self._cur_i >= len(self._cur):
@@ -133,26 +114,6 @@ class IndexedEventQueue:
         self._size -= 1
         self.counters.events += 1
         return (self._cur_time, kind, pid, data)  # type: ignore[return-value]
-
-    def pop_batch(self) -> list[tuple[int, int, int, Any]] | None:
-        """Pop the next event *and* the undrained remainder of its
-        timestamp batch, as ``[(time, kind, pid, data), ...]`` in pop
-        order — the engine's batch-delivery hook.  Events pushed at the
-        same timestamp *after* this call re-seed the queue and pop next,
-        exactly where one-at-a-time popping would have placed them."""
-        first = self.pop()
-        if first is None:
-            return None
-        time = first[0]
-        events = [first]
-        rest = len(self._cur) - self._cur_i
-        if rest:
-            for kind, _seq, pid, data in self._cur[self._cur_i :]:
-                events.append((time, kind, pid, data))
-            self._cur_i = len(self._cur)
-            self._size -= rest
-            self.counters.events += rest
-        return events
 
     def front_snapshot(self, n: int = 8) -> list[dict]:
         """The next (up to) ``n`` pending events, in processing order —
@@ -248,11 +209,6 @@ class TickScanQueue:
         self.counters.events += 1
         return (self._now, kind, pid, data)
 
-    # Same contracts as IndexedEventQueue: pop one event plus the
-    # undrained remainder of its tick; counter sync is a no-op.
-    pop_batch = IndexedEventQueue.pop_batch
-    sync_counters = IndexedEventQueue.sync_counters
-
     def front_snapshot(self, n: int = 8) -> list[dict]:
         out: list[dict] = []
         for kind, _seq, pid, _data in self._cur[self._cur_i :]:
@@ -267,276 +223,10 @@ class TickScanQueue:
         return out[:n]
 
 
-class AdaptiveEventQueue(IndexedEventQueue):
-    """Density-aware queue: skip-ahead when sparse, O(1) next-tick
-    probing when dense.
-
-    Shares :class:`IndexedEventQueue`'s bucket-per-timestamp layout and
-    therefore its exact event ordering; only *how the next populated
-    timestamp is located* adapts.  Each drained batch contributes one
-    density sample — ``batch_size / clock_gap``, events per clock unit
-    crossed — to a :class:`~repro.perf.density.DensityEstimator`, whose
-    EWMA, mode residency, and switch counts feed the kernel counters.
-
-    The ``prev_time + 1`` probe is gated on a one-batch *streak*
-    predictor: it fires exactly when the previous clock gap was 1, i.e.
-    inside an observed run of consecutive populated ticks.  In a
-    saturated execution the hit rate approaches 100% and the min-heap
-    sits idle (its entries are discarded lazily when the heap is next
-    consulted); the probe pays at most one missed lookup per run when
-    the streak ends.  Earlier revisions gated the probe on the density
-    EWMA itself, but events-per-clock-unit is the wrong predictor for
-    probe success — a bursty schedule (large batches separated by idle
-    slots, e.g. h-relations riding pinned ``G``-spaced slots) reads as
-    dense while consecutive timestamps are rarely populated, driving
-    the miss rate beyond 50%.  The streak gate is both a sharper
-    predictor and cheaper than consulting the estimator.
-
-    The one ordering hazard is the quiescence rewind: a push at or
-    before an already-drained time may create a bucket *behind*
-    ``prev_time + 1``, so the probe is suspended until the next
-    heap-sourced pop re-establishes the global minimum.
-
-    **Sampling hibernation.**  Per-batch density sampling is the
-    adaptive queue's only fixed tax over the indexed queue (measured:
-    with sampling removed the two replay identical op traces in
-    identical time).  In a deeply sparse steady state the samples are
-    also *useless*: a singleton batch with a clock gap ``>= 2``
-    contributes a sample ``<= 0.5`` — at or below the exit threshold
-    and strictly below the enter threshold — so by convexity of the
-    EWMA no run of such samples can ever flip the mode.  The queue
-    therefore stops sampling (hibernates) when a fold leaves the
-    estimator sparse with its value at or below the exit threshold, and
-    skips exactly those provably mode-preserving batches; the first
-    batch that is *not* of that shape (``gap == 1`` or two-plus
-    events) is sampled again and re-arms continuous sampling.  Mode
-    trajectory and switch counts are unaffected; ``density_samples``
-    counts sampled batches and may fall below ``batches`` (it still
-    covers at least the first fold window, and every batch outside
-    deep-sparse hibernation).
-    """
-
-    def __init__(self, p: int = 0) -> None:
-        super().__init__(p)
-        self.counters = KernelCounters(kernel="adaptive")
-        # Hysteresis tuning (mode reporting): entering dense mode needs
-        # the EWMA above 1.25 — strictly more than one event per tick
-        # on average — so sparse schedules hovering near saturation do
-        # not thrash the mode counters; once dense, only a fall below
-        # 0.5 reverts.  A genuinely saturated schedule (>= 2 events per
-        # tick) still flips dense within a couple of batches.
-        self._est = DensityEstimator(enter=1.25, exit=0.5, alpha=0.45)
-        self._stale = 0  # heap entries whose bucket the probe drained
-        # The probe gate: True iff the last observed clock gap was
-        # exactly 1 (see the class docstring for why this beats gating
-        # on the density EWMA).  The quiescence rewind clears it — the
-        # re-seeded bucket may predate ``prev + 1``, and only a
-        # heap-sourced pop re-establishes the true minimum; a rewound
-        # pop's gap is never 1, so the streak cannot re-arm early.
-        self._streak = False
-        # Density samples awaiting their EWMA fold.  Folding per batch
-        # is the adaptive queue's one fixed tax over the indexed queue;
-        # buffering and folding in a tight loop (every 16 batches, and
-        # at every counter read point) cuts it well below the streak
-        # probe's savings.  The fold order is unchanged, so the
-        # estimator trajectory — and every counter derived from it — is
-        # bit-identical at all observation points; nothing on the pop
-        # path reads the estimator, so the lag is invisible.
-        self._samples_buf: list[float] = []
-        # Sampling hibernation (see the class docstring): False while
-        # the estimator sits in a deep-sparse steady state and batches
-        # of the provably mode-preserving shape are skipped unsampled.
-        self._sampling = True
-        # Skipped-batch count awaiting its fold into counters.batches.
-        self._unsampled = 0
-
-    @property
-    def estimator(self) -> DensityEstimator:
-        """The live density estimator (read-only introspection)."""
-        self.sync_counters()
-        return self._est
-
-    def sync_counters(self) -> None:
-        """Fold any buffered density samples and copy the estimator's
-        totals onto the counters.  Called at every quiescence point
-        (``pop`` returning ``None``, drive-loop exit), on estimator
-        introspection, and from ``front_snapshot`` — i.e. before any
-        code path that reads the counters — rather than on every batch,
-        which is measurable on sparse schedules."""
-        buf = self._samples_buf
-        if buf:
-            self._fold(buf)
-        c = self.counters
-        if self._unsampled:
-            c.batches += self._unsampled
-            self._unsampled = 0
-        est = self._est
-        c.mode_switches = est.switches
-        c.density_samples = est.samples
-        c.density = est.value
-
-    def _fold(self, buf: list[float]) -> None:
-        """Run the buffered samples through the estimator's EWMA —
-        locals in a tight loop, identical arithmetic to
-        :meth:`DensityEstimator.observe` one call at a time."""
-        est = self._est
-        value = est.value
-        k = est.samples
-        dense = est.dense
-        alpha = est.alpha
-        enter = est.enter
-        exit_ = est.exit
-        switches = est.switches
-        dense_batches = 0
-        for sample in buf:
-            k += 1
-            if k == 1:
-                value = float(sample)
-            else:
-                value += alpha * (sample - value)
-            if dense:
-                if value <= exit_:
-                    dense = False
-                    switches += 1
-                else:
-                    dense_batches += 1
-            elif value >= enter:
-                dense = True
-                switches += 1
-                dense_batches += 1
-        # Batch count rides the same amortization: every drained batch
-        # contributes exactly one sample, so ``len(buf)`` *is* the batch
-        # count of this window, and no hot-path read of
-        # ``counters.batches`` exists (the drive loop checks ``events``;
-        # every other reader goes through a sync point first).
-        self.counters.batches += len(buf)
-        buf.clear()
-        est.value = value
-        est.samples = k
-        est.dense = dense
-        est.switches = switches
-        self.counters.dense_batches += dense_batches
-        # Hibernation decision rides the fold boundary: deep-sparse
-        # steady state (sparse mode, EWMA at or below the exit
-        # threshold) stops per-batch sampling until a non-skippable
-        # batch re-arms it (see the class docstring).
-        if dense or value > exit_:
-            self._sampling = True
-        else:
-            self._sampling = False
-
-    def front_snapshot(self, n: int = 8) -> list[dict]:
-        self.sync_counters()
-        return super().front_snapshot(n)
-
-    def push(self, time: int, kind: int, pid: int, data: Any = None) -> None:
-        # Body mirrors IndexedEventQueue.push (push is the hottest
-        # entry point; a super() delegation costs a second call per
-        # event) with one addition: the quiescence-rewind case clears
-        # the probe streak, since the new bucket may predate prev+1
-        # and only a heap-sourced pop re-establishes the true minimum
-        # time.
-        self._seq += 1
-        item = (kind, self._seq, pid, data)
-        if self._cur_time is not None and time <= self._cur_time:
-            if self._cur_i < len(self._cur):
-                if time < self._cur_time:
-                    raise ValueError(
-                        f"push into the past: t={time} while draining "
-                        f"t={self._cur_time}"
-                    )
-                insort(self._cur, item, lo=self._cur_i)
-                self._size += 1
-                self.counters.queue_highwater = max(
-                    self.counters.queue_highwater, self._size
-                )
-                return
-            self._streak = False
-            self._cur_time = None
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = self._buckets[time] = []
-            heapq.heappush(self._times, time)
-        bucket.append(item)
-        self._size += 1
-        self.counters.queue_highwater = max(self.counters.queue_highwater, self._size)
-
-    def pop(self) -> tuple[int, int, int, Any] | None:
-        if self._cur_i >= len(self._cur):
-            buckets = self._buckets
-            if not buckets:
-                self.sync_counters()
-                return None
-            batch = None
-            prev = self._prev_time
-            if self._streak:
-                # Streak fast path: mid-run of consecutive populated
-                # ticks, pop the next timestamp's bucket directly
-                # (membership test and removal in one dict operation)
-                # without touching the heap; the heap entry goes stale
-                # and is reclaimed lazily when the heap is next
-                # consulted.
-                t = prev + 1
-                batch = buckets.pop(t, None)
-                if batch is not None:
-                    self._stale += 1
-            if batch is None:
-                if self._stale:
-                    while True:
-                        t = heapq.heappop(self._times)
-                        if t in buckets:
-                            break
-                        # Stale entry for a probe-drained bucket.
-                        self._stale -= 1
-                else:
-                    # Sparse fast path: no probe-drained buckets
-                    # outstanding, so the heap minimum is live by
-                    # construction — no membership check needed.
-                    t = heapq.heappop(self._times)
-                batch = buckets.pop(t)
-            n = len(batch)
-            if n > 1:
-                batch.sort()
-            self._cur = batch
-            self._cur_i = 0
-            self._cur_time = t
-            gap = t - prev if prev is not None else t + 1
-            if gap > 1:
-                self.counters.ticks_skipped += gap - 1
-            streak = gap == 1
-            self._streak = streak
-            self._prev_time = t
-            if self._sampling:
-                # One density sample per batch, folded lazily (see
-                # _fold); ``counters.batches`` advances inside the
-                # fold too.
-                buf = self._samples_buf
-                buf.append(n / gap if gap > 0 else float(n))
-                if len(buf) >= 16:
-                    self._fold(buf)
-            elif streak or n > 1:
-                # Hibernation ends: this batch is not of the provably
-                # mode-preserving singleton/gap>=2 shape, so sample it
-                # and resume continuous sampling.
-                self._sampling = True
-                self._samples_buf.append(n / gap if gap > 0 else float(n))
-            else:
-                # Deep-sparse hibernation: the skipped sample could not
-                # have changed the mode; only the batch count is owed.
-                self._unsampled += 1
-        kind, _seq, pid, data = self._cur[self._cur_i]
-        self._cur_i += 1
-        self._size -= 1
-        self.counters.events += 1
-        return (self._cur_time, kind, pid, data)  # type: ignore[return-value]
-
-
 def make_event_queue(kernel: str, p: int):
     """Instantiate the named kernel's queue for a ``p``-processor machine."""
     if kernel == "event":
         return IndexedEventQueue(p)
     if kernel == "tick":
         return TickScanQueue(p)
-    if kernel == "adaptive":
-        return AdaptiveEventQueue(p)
     raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")

@@ -1,13 +1,13 @@
 """Chaos regression: seeded fault injection must be kernel-invariant.
 
-The adaptive kernel's dense fast paths — the queue's ``t+1`` bucket
-probe and the router's vectorized multiport step with *batched* fault
-draws — share their RNG streams with the scalar paths they replace.
+The router's vectorized multiport step draws its link faults in
+*batches* from the same RNG stream the scalar paths draw one at a time.
 These tests pin that a chaotic seeded run (drops, duplicates, delays,
 reorders on the LogP medium; lossy links in the packet router) produces
-identical fault fates and traces under all three kernels: a vectorized
-draw that consumed the stream in a different order would show up here
-as diverging fates even when aggregate counts happen to agree.
+identical fault fates and traces under both kernels and through the
+vectorized step: a batched draw that consumed the stream in a different
+order would show up here as diverging fates even when aggregate counts
+happen to agree.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ from repro.faults import FaultPlan, reliable
 from repro.logp.machine import LogPMachine
 from repro.models.params import LogPParams
 from repro.networks import Hypercube
-from repro.networks.routing_sim import RoutingConfig, route_h_relation
+from repro.networks.routing_sim import (
+    RoutingConfig,
+    _route_packets_tick,
+    _route_packets_vectorized,
+    build_paths,
+    route_h_relation,
+)
+from repro.routing.workloads import balanced_h_relation
 from repro.obs import Observation
 from repro.perf.event_queue import KERNELS
 from repro.programs import logp_sum_program
@@ -117,3 +124,28 @@ class TestRoutingChaosKernelInvariant:
             assert _routing_chaos_run(kernel, **cfg) == base, (
                 f"kernel {kernel!r} diverged from 'event' on lossy links"
             )
+
+    @pytest.mark.parametrize(
+        "valiant",
+        [pytest.param(False, id="multiport"), pytest.param(True, id="valiant")],
+    )
+    def test_vectorized_step_identical_to_tick(self, valiant):
+        """The 256-packet chaos case is below the size cut, so
+        ``route_packets`` runs it scalar; drive the vectorized step
+        directly and compare it with the tick scan hop for hop."""
+        topo = Hypercube(32)
+        paths = build_paths(
+            topo, balanced_h_relation(topo.p, 8, seed=5), valiant=valiant, seed=6
+        )
+        config = RoutingConfig(link_fault_rate=0.3, seed=7)
+        runs = [
+            route(paths, config, Observation(trace=True))
+            for route in (_route_packets_vectorized, _route_packets_tick)
+        ]
+        (vec, vec_occ, vec_hops), (ref, ref_occ, ref_hops) = runs
+        assert vec.retransmissions > 0  # faults fired
+        assert vec_hops  # the hop trace is actually populated
+        fields = ("time", "packets", "total_hops", "max_queue", "retransmissions")
+        assert [getattr(vec, f) for f in fields] == [getattr(ref, f) for f in fields]
+        assert vec_occ == ref_occ
+        assert vec_hops == ref_hops

@@ -154,8 +154,9 @@ def case_routing(kernel: str) -> dict:
 
 
 def case_routing_multiport_dense(kernel: str) -> dict:
-    """Dense multiport routing — the adaptive kernel's vectorized hot
-    path — pinned down to the individual transmission: the projection
+    """Dense multiport routing — 512 packets, so the ``"event"`` kernel
+    takes the router's vectorized step (``VECTORIZE_MIN_PACKETS``) —
+    pinned down to the individual transmission: the projection
     keeps the full hop trace ``[time, packet, link]`` in pop order, so a
     vectorized step that reorders pops, renumbers edges, or drifts off
     the shared fault-stream draw order fails against the committed file

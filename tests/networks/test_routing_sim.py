@@ -2,12 +2,16 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.networks import ArrayND, Hypercube, MeshOfTrees
+from repro.networks import routing_sim
 from repro.networks.routing_sim import (
+    VECTORIZE_MIN_PACKETS,
     RoutingConfig,
     build_paths,
     route_h_relation,
     route_packets,
 )
+from repro.obs import Observation
+from repro.routing.workloads import balanced_h_relation
 from repro.networks.params import TOPOLOGY_BUILDERS, measure_network_params
 
 
@@ -50,6 +54,36 @@ class TestRoutePackets:
         t = ArrayND((2, 2))
         with pytest.raises(RoutingError):
             route_packets(t, [t.route(0, 3)], RoutingConfig(priority="lifo"))
+
+    @pytest.mark.parametrize("fault_rate", [0.0, 0.25])
+    @pytest.mark.parametrize(
+        "n", [VECTORIZE_MIN_PACKETS - 1, VECTORIZE_MIN_PACKETS], ids=["below_cut", "at_cut"]
+    )
+    def test_size_cut_matches_tick(self, n, fault_rate, monkeypatch):
+        """Either side of the size cut, ``route_packets`` under the event
+        kernel makes exactly the tick scan's transmissions — and takes
+        the vectorized step only from the cut on."""
+        t = Hypercube(32)
+        paths = build_paths(t, balanced_h_relation(t.p, 16, seed=3), seed=4)[:n]
+        vectorized = []
+        real = routing_sim._route_packets_vectorized
+
+        def spy(*args):
+            vectorized.append(True)
+            return real(*args)
+
+        monkeypatch.setattr(routing_sim, "_route_packets_vectorized", spy)
+        runs = {}
+        for kernel in ("event", "tick"):
+            obs = Observation(trace=True)
+            cfg = RoutingConfig(link_fault_rate=fault_rate, seed=5, kernel=kernel)
+            out = route_packets(t, paths, cfg, obs=obs)
+            hops = [(s.end, s.args["packet"], s.args["link"])
+                    for s in obs.tracer.spans if s.name == "hop"]
+            runs[kernel] = (out.time, out.total_hops, out.max_queue,
+                            out.retransmissions, hops)
+        assert runs["event"] == runs["tick"]
+        assert vectorized == ([True] if n >= VECTORIZE_MIN_PACKETS else [])
 
     def test_max_steps_guard(self):
         t = ArrayND((4, 4))

@@ -1,78 +1,29 @@
-"""Legacy entry points and keyword spellings: wrapped, warned, equivalent."""
+"""Legacy entry points and keyword spellings: removed, aliased, warned."""
 
 import warnings
 
 import pytest
 
 import repro.core as core
-from repro import BSPParams, LogPParams, RoutingConfig, Stack
+from repro import BSPParams, LogPParams, RoutingConfig
 from repro.errors import ParameterError
-from repro.programs import bsp_prefix_program, logp_sum_program
+from repro.programs import bsp_prefix_program
 
 PARAMS = LogPParams(p=4, L=8, o=1, G=2)
 
 
-def assert_deprecated(fn, match: str):
-    with pytest.warns(DeprecationWarning, match=match):
-        return fn()
-
-
 class TestLegacyWrappers:
-    """Every package-level cross-simulation entry point warns and points
-    at the equivalent Stack chain — and still computes the same result."""
-
-    def test_simulate_bsp_on_logp(self):
-        rep = assert_deprecated(
-            lambda: core.simulate_bsp_on_logp(PARAMS, bsp_prefix_program()),
-            match=r"Stack\(program\)\.on_logp",
-        )
-        via_stack = Stack(bsp_prefix_program()).on_logp(PARAMS).run()
-        assert rep.total_logp_time == via_stack.total_logp_time
-        assert rep.results == via_stack.results
-
-    def test_simulate_logp_on_bsp(self):
-        rep = assert_deprecated(
-            lambda: core.simulate_logp_on_bsp(PARAMS, logp_sum_program()),
-            match=r"model='logp'.*\.on_bsp\(\)",
-        )
-        via_stack = Stack(logp_sum_program(), model="logp", params=PARAMS).on_bsp().run()
-        assert rep.virtual_time == via_stack.virtual_time
-        assert rep.results == via_stack.results
-
-    def test_simulate_logp_on_bsp_workpreserving(self):
-        rep = assert_deprecated(
-            lambda: core.simulate_logp_on_bsp_workpreserving(
-                PARAMS, logp_sum_program(), 2
-            ),
-            match=r"on_bsp\(p=bsp_p\)",
-        )
-        via_stack = (
-            Stack(logp_sum_program(), model="logp", params=PARAMS).on_bsp(p=2).run()
-        )
-        assert rep.bsp.total_cost == via_stack.bsp.total_cost
-        assert rep.results == via_stack.results
-
-    def test_importing_a_wrapper_name_warns(self):
-        """Merely *accessing* the legacy name off ``repro.core`` warns —
-        before any call — via the module-level ``__getattr__``."""
-        with pytest.warns(DeprecationWarning, match=r"simulate_bsp_on_logp"):
-            getattr(core, "simulate_bsp_on_logp")
-
-        # `from repro.core import <name>` goes through the same hook
-        with pytest.warns(DeprecationWarning, match=r"simulate_logp_on_bsp"):
-            exec("from repro.core import simulate_logp_on_bsp", {})
-
-    def test_wrappers_still_listed_in_dir(self):
-        names = dir(core)
-        assert "simulate_bsp_on_logp" in names
-        assert "simulate_logp_on_bsp_workpreserving" in names
+    """The package-level ``repro.core`` wrappers are gone; the submodule
+    drivers the Stack adapters call stay warning-free."""
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no_such_thing"):
             core.no_such_thing
+        for legacy in ("simulate_bsp_on_logp", "simulate_logp_on_bsp"):
+            with pytest.raises(AttributeError, match=legacy):
+                getattr(core, legacy)
 
     def test_submodule_drivers_do_not_warn(self):
-        """The Stack adapters' own entry points stay undeprecated."""
         from repro.core.bsp_on_logp import simulate_bsp_on_logp
 
         with warnings.catch_warnings():
@@ -133,29 +84,8 @@ class TestParamAliases:
 
 
 class TestRoutingConfigSeed:
-    def test_fault_seed_keyword_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match=r"RoutingConfig\(fault_seed=\.\.\.\)"):
-            cfg = RoutingConfig(link_fault_rate=0.2, fault_seed=7)
-        assert cfg.seed == 7
-        assert cfg.fault_seed == 7  # compat read property
-
     def test_canonical_seed_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             cfg = RoutingConfig(seed=7)
         assert cfg.seed == 7
-
-    def test_same_faults_either_spelling(self):
-        from repro.networks import Hypercube
-        from repro.networks.routing_sim import route_h_relation
-
-        new = RoutingConfig(link_fault_rate=0.3, seed=11)
-        with pytest.warns(DeprecationWarning):
-            old = RoutingConfig(link_fault_rate=0.3, fault_seed=11)
-        a = route_h_relation(Hypercube(8), 2, seed=1, config=new)
-        b = route_h_relation(Hypercube(8), 2, seed=1, config=old)
-        assert (a.time, a.total_hops, a.retransmissions) == (
-            b.time,
-            b.total_hops,
-            b.retransmissions,
-        )

@@ -11,13 +11,13 @@ checked against the paper's §2.2 rules reconstructed *from the trace*:
   stalling really had a free slot at its acceptance instant;
 * **gap rule** — a processor's consecutive submissions (and
   acquisitions) are at least ``G`` apart;
-* **kernel equivalence** — all three kernels (``event``, ``tick``,
-  ``adaptive``) drive bit-identical executions on every generated
-  program;
+* **kernel equivalence** — both kernels (``event``, ``tick``) drive
+  bit-identical executions on every generated program;
 * **density sweep** — programs parameterized by event density, from
   skip-ahead-friendly sparse phases to a saturated clock, stay
-  kernel-equivalent, and the adaptive kernel's counters record the
-  mode switch when the density EWMA crosses its threshold.
+  kernel-equivalent; h-relations from one packet per host to
+  saturated links route identically through the router's vectorized
+  step and the tick reference scan, faults on and off, hop for hop.
 
 The CI profile (``HYPOTHESIS_PROFILE=ci``, registered in
 ``tests/conftest.py``) is derandomized so failures reproduce exactly.
@@ -221,7 +221,7 @@ def test_kernels_bit_identical(params, steps):
 
 
 # --------------------------------------------------------------------------
-# Density sweep: sparse -> saturated programs under the adaptive kernel.
+# Density sweep: sparse -> saturated programs under both kernels.
 #
 # Compute/WaitUntil resolve *inline* (they only move the local clock, no
 # queue traffic), so event density is driven with network instructions.
@@ -265,8 +265,7 @@ def density_profiles(draw):
 @given(params=logp_params(), profile=density_profiles())
 @settings(max_examples=25)
 def test_density_sweep_kernels_equivalent(params, profile):
-    """Across the whole density range, the three kernels stay
-    bit-identical and the adaptive counters stay self-consistent."""
+    """Across the whole density range, the kernels stay bit-identical."""
     sparse_len, dense_len, gap_extra = profile
     gap = 4 * params.p + gap_extra
     programs = build_density_programs(params.p, sparse_len, dense_len, gap)
@@ -274,94 +273,61 @@ def test_density_sweep_kernels_equivalent(params, profile):
     base = uid_free_projection(runs["event"])
     for kernel in KERNELS[1:]:
         assert uid_free_projection(runs[kernel]) == base, kernel
-    ada = runs["adaptive"].kernel
-    assert ada.kernel == "adaptive"
-    # Sampling hibernation may skip provably mode-preserving batches
-    # (deep-sparse singletons), so sampled <= total; the first batch of
-    # a run is always sampled.
-    assert 0 < ada.density_samples <= ada.batches
-    assert 0 <= ada.dense_batches <= ada.batches
-    assert ada.sparse_batches == ada.batches - ada.dense_batches
+
+
+def route_three_ways(paths, config):
+    """(outcome, occupancy, hops) from the vectorized step, the tick
+    reference scan, and the scalar active-set loop, all traced."""
+    from repro.networks.routing_sim import (
+        _route_packets_event,
+        _route_packets_tick,
+        _route_packets_vectorized,
+    )
+    from repro.obs import Observation
+
+    return [
+        route(paths, config, Observation(trace=True))
+        for route in (_route_packets_vectorized, _route_packets_tick, _route_packets_event)
+    ]
 
 
 @given(
-    params=logp_params(),
-    dense_len=st.integers(10, 16),
-    gap_extra=st.integers(0, 5),
+    p=st.sampled_from([4, 8, 16, 32]),
+    h=st.integers(0, 12),
+    valiant=st.booleans(),
+    fault_rate=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 99),
 )
-@settings(max_examples=25)
-def test_density_crossing_records_mode_switch(params, dense_len, gap_extra):
-    """A poll tail saturates the clock: the EWMA crosses the enter
-    threshold, the switch is recorded, and the run ends dense."""
-    gap = 4 * params.p + gap_extra
-    programs = build_density_programs(params.p, 2, dense_len, gap)
-    k = run_traced(params, programs, kernel="adaptive").kernel
-    assert k.mode_switches >= 1
-    assert k.dense_batches >= 1
-    assert k.density >= 1.0  # the tail saturates the clock for good
+@settings(max_examples=40)
+def test_routing_density_sweep_vectorized_matches_tick(p, h, valiant, fault_rate, seed):
+    """From near-empty links (h=1) to saturated ones, the vectorized
+    multi-port FIFO step makes the tick scan's every transmission — same
+    outcome, same per-link occupancy, same hop trace in pop order, same
+    fault-stream draws — and reports the scalar active-set loop's
+    counters, so ``route_packets`` can pick either by size."""
+    from repro.networks import Hypercube
+    from repro.networks.routing_sim import RoutingConfig, build_paths
+    from repro.routing.workloads import balanced_h_relation
 
-
-@given(
-    gap=st.integers(3, 12),
-    dense_b=st.integers(2, 5),
-    n_sparse=st.integers(6, 12),
-    n_dense=st.integers(6, 12),
-)
-@settings(max_examples=50)
-def test_queue_density_sweep_estimator_modes(gap, dense_b, n_sparse, n_dense):
-    """The full sweep at the queue layer, where the schedule is exact:
-    singleton events ``gap`` ticks apart keep the estimator sparse, a
-    plateau of ``dense_b``-event batches on consecutive ticks flips it
-    dense (one recorded switch), and returning to the sparse schedule
-    decays the EWMA back through the exit threshold.  All three queues
-    must agree on every pop along the way."""
-    queues = {k: make_event_queue(k, 4) for k in KERNELS}
-    ada = queues["adaptive"]
-
-    def push_all(t: int, n: int) -> None:
-        for i in range(n):
-            for q in queues.values():
-                q.push(t, 0, i % 4, None)
-
-    def drain_and_compare() -> None:
-        while True:
-            popped = {k: q.pop() for k, q in queues.items()}
-            assert len(set(popped.values())) == 1, popped
-            if popped["event"] is None:
-                return
-
-    # Sparse ramp: singletons ``gap`` apart.  First event at t=gap so
-    # even the first sample (gap measured from t=-1) is sub-threshold.
-    t = 0
-    for _ in range(n_sparse):
-        t += gap
-        push_all(t, 1)
-    drain_and_compare()
-    assert not ada.estimator.dense
-    assert ada.counters.mode_switches == 0
-    assert ada.counters.dense_batches == 0
-    assert ada.counters.ticks_skipped > 0
-    # Saturated plateau: dense_b events on every consecutive tick.
-    for _ in range(n_dense):
-        t += 1
-        push_all(t, dense_b)
-    drain_and_compare()
-    assert ada.estimator.dense
-    assert ada.counters.mode_switches == 1
-    assert ada.counters.dense_batches >= 1
-    assert ada.estimator.value >= 1.0
-    # Back to sparse: the EWMA decays through the exit threshold.
-    for _ in range(n_sparse):
-        t += gap
-        push_all(t, 1)
-    drain_and_compare()
-    assert not ada.estimator.dense
-    assert ada.counters.mode_switches == 2
+    topo = Hypercube(p)
+    pairs = balanced_h_relation(topo.p, h, seed=seed)
+    paths = build_paths(topo, pairs, valiant=valiant, seed=seed + 1)
+    config = RoutingConfig(link_fault_rate=fault_rate, seed=seed)
+    (vec, vec_occ, vec_hops), (ref, ref_occ, ref_hops), (ev, _, _) = route_three_ways(
+        paths, config
+    )
+    fields = ("time", "packets", "total_hops", "max_queue", "retransmissions")
+    assert [getattr(vec, f) for f in fields] == [getattr(ref, f) for f in fields]
+    assert vec_occ == ref_occ
+    assert vec_hops == ref_hops
+    assert vec.kernel.events == ref.kernel.events
+    assert vec.kernel.batches == ref.kernel.batches
+    assert vec.kernel.as_dict() == ev.kernel.as_dict()
 
 
 #: Interleaved queue operations: ("push", dt, kind, pid) pushes at
 #: ``last_popped_time + dt`` (dt=0 after a drained batch is the
-#: quiescence-rewind hazard the adaptive probe must suspend on);
+#: quiescence-rewind hazard);
 #: ("pop",) pops one event from every queue and compares.
 queue_ops = st.lists(
     st.one_of(
@@ -381,7 +347,7 @@ queue_ops = st.lists(
 @settings(max_examples=50)
 def test_event_queues_agree_under_interleaved_ops(ops):
     """The raw ordering contract: identical push/pop interleavings give
-    identical pop sequences on all three queues, including same-time
+    identical pop sequences on both queues, including same-time
     mid-batch pushes and at-current-time re-seeds after a drain."""
     queues = {k: make_event_queue(k, 8) for k in KERNELS}
     now = 0

@@ -17,7 +17,7 @@ from repro.errors import ParameterError, ProgramError
 class TestSchema:
     def test_roundtrips_through_json(self):
         req = RunRequest(chain="bsp-on-logp-on-network", p=8,
-                         params={"L": 16, "g": 4}, seed=3, kernel="adaptive")
+                         params={"L": 16, "g": 4}, seed=3, kernel="tick")
         doc = json.loads(json.dumps(req.to_dict()))
         assert RunRequest.from_dict(doc) == req
 
@@ -36,6 +36,10 @@ class TestSchema:
             RunRequest(chain="bsp", program="nope")
         with pytest.raises(ParameterError, match="kernel 'warp' unknown"):
             RunRequest(chain="bsp-on-logp", kernel="warp")
+        with pytest.raises(
+            ParameterError, match=r"kernel 'adaptive' unknown \(known: event, superstep, tick\)"
+        ):
+            RunRequest(chain="bsp-on-logp", kernel="adaptive")
         with pytest.raises(ParameterError, match="params key 'x'"):
             RunRequest(chain="bsp", params={"x": 1})
 
@@ -61,7 +65,7 @@ class TestSchema:
 
 class TestStackRoundTrip:
     def test_from_request_runs_and_to_request_roundtrips(self):
-        req = RunRequest(chain="bsp-on-logp", p=4, kernel="adaptive")
+        req = RunRequest(chain="bsp-on-logp", p=4, kernel="tick")
         stack = Stack.from_request(req)
         assert stack.to_request() == req
         result = stack.run()
