@@ -432,7 +432,6 @@ def main(argv: list[str] | None = None) -> int:
             committed = load_json(
                 BENCH_FILE,
                 kind=BENCH_KIND,
-                allow_legacy=True,
                 max_version=BENCH_VERSION,
             )
             rc = max(rc, 1 if check(report, committed) else 0)

@@ -1,14 +1,16 @@
 """Experiment TH1 — **Theorem 1**: stall-free LogP on BSP.
 
 Regenerates the theorem's quantitative content as a **campaign**: the
-(kernel, g/G, l/L) grid is a declarative
-:class:`~repro.campaign.CampaignSpec` run through
+(program, g/G, l/L) grid is a declarative
+:class:`~repro.campaign.CampaignSpec` of ``logp-on-bsp``
+:class:`~repro.engine.request.RunRequest` documents run through
 :func:`~repro.campaign.run_campaign` (worker pool + content-addressed
-result store), and every assertion below consumes the JSON records the
-campaign target emitted — the same records ``python -m repro.experiments
-campaign th1-grid`` caches on disk.  The claims: across the grid the
-measured slowdown of the cycle simulation tracks ``O(1 + g/G + l/L)``
-and per-cycle h-relations stay within the capacity ``ceil(L/G)``.
+result store) on the ``request`` target, and every assertion below
+consumes the JSON records that target emitted — the same records
+``python -m repro.experiments campaign th1-grid`` caches on disk.  The
+claims: across the grid the measured slowdown of the cycle simulation
+tracks ``O(1 + g/G + l/L)`` and per-cycle h-relations stay within the
+capacity ``ceil(L/G)``.
 """
 
 import pytest
@@ -23,11 +25,26 @@ SCALES = (1, 4, 8)
 
 SPEC = CampaignSpec(
     name="bench-theorem1",
-    target="theorem1",
-    grid=(("kernel", KERNELS), ("gs", SCALES), ("ls", SCALES)),
-    base={"p": LOGP.p, "L": LOGP.L, "o": LOGP.o, "G": LOGP.G},
+    target="request",
+    grid=(
+        ("program", KERNELS),
+        (
+            "params",
+            tuple(
+                {"L": LOGP.L, "o": LOGP.o, "G": LOGP.G, "g": LOGP.G * gs, "l": LOGP.L * ls}
+                for gs in SCALES
+                for ls in SCALES
+            ),
+        ),
+    ),
+    base={"chain": "logp-on-bsp", "p": LOGP.p},
     description="Theorem 1 slowdown grid: LogP kernels on scaled BSP hosts",
 )
+
+
+def host(kname: str, gs: int, ls: int) -> tuple:
+    """The sweep key of ``kname`` on the BSP host g = gs*G, l = ls*L."""
+    return (kname, LOGP.G * gs, LOGP.L * ls)
 
 
 @pytest.fixture(scope="module")
@@ -41,28 +58,29 @@ def sweep(tmp_path_factory):
     records = report.records()
     assert len(records) == len(SPEC)
     out = {}
-    for point, rec in zip(SPEC.points(), records):
-        assert rec["outputs_match"], point
-        out[(point["kernel"], point["gs"], point["ls"])] = rec
+    for rec in records:
+        req = rec["request"]
+        assert rec["outputs_match"], req
+        out[(req["program"], req["params"]["g"], req["params"]["l"])] = rec
     return out
 
 
 def test_theorem1_report(sweep, publish, publish_json, benchmark):
     benchmark.pedantic(
-        lambda: run_point("theorem1", {**dict(SPEC.base), "kernel": "sum"}),
+        lambda: run_point("request", {**dict(SPEC.base), "program": "sum"}),
         rounds=1,
         iterations=1,
     )
     rows = []
-    for (kname, gs, ls), rec in sweep.items():
+    for (kname, g, l), rec in sweep.items():
         rows.append(
             (
                 kname,
-                f"g={rec['g']}",
-                f"l={rec['l']}",
+                f"g={g}",
+                f"l={l}",
                 rec["windows"],
                 rec["max_window_h"],
-                rec["capacity"],
+                LOGP.capacity,
                 f"{rec['slowdown']:.2f}",
                 f"{rec['predicted_slowdown']:.2f}",
             )
@@ -95,15 +113,15 @@ def test_matched_machine_constant_slowdown(sweep):
     """On the matched machine the slowdown is a small constant (<= the
     predicted 1 + g/G + l/L = 5 here)."""
     for kname in KERNELS:
-        assert sweep[(kname, 1, 1)]["slowdown"] <= 5.0
+        assert sweep[host(kname, 1, 1)]["slowdown"] <= 5.0
 
 
 def test_slowdown_monotone_in_g_and_l(sweep):
     for kname in KERNELS:
-        base = sweep[(kname, 1, 1)]["slowdown"]
-        assert sweep[(kname, 4, 1)]["slowdown"] >= base
-        assert sweep[(kname, 1, 4)]["slowdown"] >= base
-        assert sweep[(kname, 8, 8)]["slowdown"] >= sweep[(kname, 4, 4)]["slowdown"]
+        base = sweep[host(kname, 1, 1)]["slowdown"]
+        assert sweep[host(kname, 4, 1)]["slowdown"] >= base
+        assert sweep[host(kname, 1, 4)]["slowdown"] >= base
+        assert sweep[host(kname, 8, 8)]["slowdown"] >= sweep[host(kname, 4, 4)]["slowdown"]
 
 
 def test_rerun_is_fully_cached(sweep, tmp_path):

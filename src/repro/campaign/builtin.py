@@ -12,17 +12,24 @@ from repro.campaign.spec import CampaignSpec
 
 __all__ = ["CAMPAIGNS", "SAMPLE_SORT_GRID", "SORTING_REGIMES"]
 
-#: Theorem 1 across BSP machines: 3 kernels x 4 gap scalings x 2 latency
-#: scalings = 24 points on the LogP(p=16, L=8, o=1, G=2) guest.
+#: Theorem 1 across BSP machines: 3 programs x 8 (g, l) hosts = 24
+#: ``logp-on-bsp`` requests on the LogP(p=16, L=8, o=1, G=2) guest, with
+#: g = G x (1, 2, 4, 8) and l = L x (1, 4).
 TH1_GRID = CampaignSpec(
     name="th1-grid",
-    target="theorem1",
+    target="request",
     grid=(
-        ("kernel", ("sum", "ring", "alltoall")),
-        ("gs", (1, 2, 4, 8)),
-        ("ls", (1, 4)),
+        ("program", ("sum", "ring", "alltoall")),
+        (
+            "params",
+            tuple(
+                {"L": 8, "o": 1, "G": 2, "g": 2 * gs, "l": 8 * ls}
+                for gs in (1, 2, 4, 8)
+                for ls in (1, 4)
+            ),
+        ),
     ),
-    base=(("p", 16), ("L", 8), ("o", 1), ("G", 2)),
+    base=(("chain", "logp-on-bsp"), ("p", 16)),
     description="Theorem 1: LogP-on-BSP slowdown across g/l scalings (24 points)",
 )
 
@@ -51,19 +58,6 @@ CB_GRID = CampaignSpec(
     ),
     base=(("o", 1),),
     description="Propositions 1/2: Combine-and-Broadcast cost bounds (12 points)",
-)
-
-#: CI smoke: the Theorem 1 grid trimmed to seconds of work.
-TH1_SMOKE = CampaignSpec(
-    name="th1-smoke",
-    target="theorem1",
-    grid=(
-        ("kernel", ("sum", "alltoall")),
-        ("gs", (1, 4)),
-        ("ls", (1, 4)),
-    ),
-    base=(("p", 16), ("L", 8), ("o", 1), ("G", 2)),
-    description="Theorem 1 smoke grid for CI (8 points)",
 )
 
 #: The (previously orphaned) direct BSP sample sort as a campaign:
@@ -100,7 +94,6 @@ CAMPAIGNS: dict[str, CampaignSpec] = {
         TH1_GRID,
         TH2_GRID,
         CB_GRID,
-        TH1_SMOKE,
         SAMPLE_SORT_GRID,
         SORTING_REGIMES,
     )

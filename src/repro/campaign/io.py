@@ -10,9 +10,8 @@ kind instead of guessing from file shape.
 
     {"schema": {"name": kind, "version": 1}, ...payload...}
 
-``load_json(path, kind=...)`` validates the stamp (tolerating legacy
-stamp-less files when ``allow_legacy=True``, for committed artifacts
-that predate this module) and returns the full document.
+``load_json(path, kind=...)`` validates the stamp and returns the full
+document.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ def load_json(
     path: str | Path,
     *,
     kind: str | None = None,
-    allow_legacy: bool = False,
     max_version: int = SCHEMA_VERSION,
 ) -> dict:
     """Read a schema-stamped document, validating ``kind`` when given.
@@ -59,8 +57,6 @@ def load_json(
     doc = json.loads(path.read_text())
     schema = doc.get("schema")
     if schema is None:
-        if allow_legacy:
-            return doc
         raise ValueError(f"{path}: missing schema stamp (expected kind {kind!r})")
     if kind is not None and schema.get("name") != kind:
         raise ValueError(

@@ -2,7 +2,9 @@
 
 ``run_campaign(spec)`` is the whole lifecycle:
 
-1. fingerprint the code and expand the spec into keyed work items;
+1. resolve the target (an unknown id fails here, before anything is
+   written), fingerprint the code and expand the spec into keyed work
+   items;
 2. open the :class:`~repro.campaign.store.ResultStore` and split items
    into **cached** (an ``ok`` entry exists for the key) and **pending**;
 3. run pending points — serially, or sharded over a
@@ -29,6 +31,7 @@ from repro.campaign.fingerprint import code_fingerprint
 from repro.campaign.pool import run_pool
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
+from repro.campaign.targets import resolve_target
 
 __all__ = ["CampaignReport", "run_campaign", "default_store_dir"]
 
@@ -153,6 +156,7 @@ def run_campaign(
       metrics into;
     * ``progress`` — optional ``callable(str)`` for one-line updates.
     """
+    resolve_target(spec.target)
     say = progress or (lambda _msg: None)
     fp = fingerprint if fingerprint is not None else code_fingerprint()
     items = spec.items(fp)

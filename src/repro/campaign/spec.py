@@ -3,8 +3,7 @@
 The paper's claims are *sweeps* — Theorems 1–3 and Observation 1 are
 bounds whose shape only emerges across grids of ``(P, g, ℓ, L, o, G)``
 and topologies — so a campaign is declared, not scripted: a **target**
-(a named runner from :mod:`repro.campaign.targets`, an ``experiment:ID``
-from the CLI registry, or a ``chain:...`` Stack spec), a **parameter
+(a named runner from :mod:`repro.campaign.targets`), a **parameter
 grid** (ordered axes, cartesian product), **seeds**, and base parameters
 shared by every point.
 
@@ -67,10 +66,9 @@ class CampaignSpec:
     name:
         Campaign identity; also the default store directory name.
     target:
-        A runner id from :data:`repro.campaign.targets.TARGETS`, or the
-        prefixed forms ``"experiment:TH1"`` (run a CLI experiment table
-        per point) / ``"chain:bsp-on-logp-on-network"`` (run the named
-        Stack chain per point).
+        A runner id from :data:`repro.campaign.targets.TARGETS`
+        (``"request"`` runs each point as a
+        :class:`~repro.engine.request.RunRequest` document).
     grid:
         Ordered axes, each ``(axis_name, (value, value, ...))``; points
         are the cartesian product in axis order (later axes vary

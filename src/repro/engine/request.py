@@ -1,9 +1,9 @@
 """The versioned run-request schema: one public entry point for chains.
 
-Before this module, three call sites each assembled Stack chains from
+Before this module, several call sites each assembled Stack chains from
 ad-hoc keyword arguments: the CLI's ``inspect`` subcommand, the campaign
-``chain:`` target, and anything scripting :class:`~repro.engine.stack.
-Stack` by hand.  :class:`RunRequest` replaces those with a single
+targets, and anything scripting :class:`~repro.engine.stack.Stack` by
+hand.  :class:`RunRequest` replaces those with a single
 JSON-serializable schema — chain spec, named program, processor count,
 topology, parameter overrides, seed, kernel, obs flags — so a request
 can cross a socket, live in a campaign grid point, or be cached under a
@@ -357,9 +357,9 @@ def build_stack(request: RunRequest | dict):
     """Construct the :class:`~repro.engine.stack.Stack` a request names.
 
     This is the one chain-assembly path behind ``Stack.from_request``,
-    the CLI's ``inspect``, the campaign ``chain:``/``request`` targets,
-    and the service — the demo programs and default parameters are
-    identical everywhere.
+    the CLI's ``inspect``, the campaign ``request`` target, and the
+    service — the demo programs and default parameters are identical
+    everywhere.
     """
     from repro.engine.stack import Stack
     from repro.models.params import BSPParams, LogPParams

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -111,26 +110,29 @@ def _exp_table1(obs=None) -> ExperimentTable:
 
 
 def _exp_theorem1(obs=None) -> ExperimentTable:
-    """Thin wrapper over the ``theorem1`` campaign target: the CLI table
-    and a :class:`~repro.campaign.CampaignSpec` sweep run the exact same
-    per-point code, so their records are interchangeable."""
+    """A view over ``logp-on-bsp`` points of the ``request`` campaign
+    target: the CLI table and the ``th1-grid`` campaign run the exact
+    same per-point code, so their records are interchangeable."""
     from repro.campaign.targets import run_point
+    from repro.models.params import LogPParams
     from repro.obs.check import CostCheckReport
 
+    logp = LogPParams(p=16, L=8, o=1, G=2)
     rows = []
     records = []
     extras = []
     for gs, ls in ((1, 1), (4, 1), (1, 4), (4, 4)):
-        point = {"kernel": "alltoall", "p": 16, "L": 8, "o": 1, "G": 2,
-                 "gs": gs, "ls": ls, "seed": 0}
-        rec = run_point("theorem1", point, obs=obs)
+        g, l = logp.G * gs, logp.L * ls
+        point = {"chain": "logp-on-bsp", "program": "alltoall", "p": logp.p,
+                 "params": {"L": logp.L, "o": logp.o, "G": logp.G, "g": g, "l": l}}
+        rec = run_point("request", point, obs=obs)
         check = CostCheckReport.from_dict(rec["cost_check"])
         rows.append(
             (
-                f"g={rec['g']}, l={rec['l']}",
+                f"g={g}, l={l}",
                 rec["windows"],
                 rec["max_window_h"],
-                rec["capacity"],
+                logp.capacity,
                 f"{rec['slowdown']:.2f}",
                 f"{rec['predicted_slowdown']:.2f}",
                 rec["outputs_match"],
@@ -152,22 +154,20 @@ def _exp_theorem1(obs=None) -> ExperimentTable:
 
 
 def _exp_cb(obs=None) -> ExperimentTable:
-    from repro.core.cb import measure_cb
-    from repro.models.cost import cb_time_lower, cb_time_upper
-    from repro.models.params import LogPParams
+    """A view over the ``cb`` campaign target (the ``cb-grid`` code)."""
+    from repro.campaign.targets import run_point
 
     rows = []
     for p in (8, 64, 512):
         for L, G in ((8, 8), (8, 2), (16, 2)):
-            params = LogPParams(p=p, L=L, o=1, G=G)
-            m = measure_cb(params, [1] * p, operator.add, op_cost=0)
+            rec = run_point("cb", {"p": p, "L": L, "o": 1, "G": G})
             rows.append(
                 (
                     p,
-                    params.capacity,
-                    m.t_cb,
-                    f"{cb_time_lower(params):.0f}",
-                    f"{cb_time_upper(params):.0f}",
+                    rec["capacity"],
+                    rec["t_cb"],
+                    f"{rec['lower']:.0f}",
+                    f"{rec['upper']:.0f}",
                 )
             )
     return ExperimentTable(
@@ -179,22 +179,21 @@ def _exp_cb(obs=None) -> ExperimentTable:
 
 
 def _exp_theorem2(obs=None) -> ExperimentTable:
-    from repro.core.det_routing import measure_det_routing
-    from repro.models.cost import t_route_small
-    from repro.models.params import LogPParams
-    from repro.routing.workloads import balanced_h_relation
+    """A view over the ``theorem2`` campaign target (the ``th2-grid``
+    code); each relation is drawn with ``seed=h``."""
+    from repro.campaign.targets import run_point
 
-    params = LogPParams(p=16, L=8, o=1, G=2)
+    L, G = 8, 2
     rows = []
     for h in (1, 4, 16, 64, 256, 512):
-        m = measure_det_routing(params, balanced_h_relation(params.p, h, seed=h))
+        rec = run_point("theorem2", {"p": 16, "L": L, "o": 1, "G": G, "h": h, "seed": h})
         rows.append(
             (
                 h,
-                m.outcomes[0].sort_scheme,
-                m.total_time,
-                t_route_small(h, params),
-                f"{m.total_time / (params.G * h + params.L):.1f}",
+                rec["scheme"],
+                rec["total_time"],
+                rec["ideal"],
+                f"{rec['total_time'] / (G * h + L):.1f}",
             )
         )
     return ExperimentTable(
@@ -321,27 +320,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentTable]]] = {
 
 
 # -- inspect: run a demo program through a named Stack chain -------------
-
-
-def _parse_chain(spec: str) -> tuple[str, list[str]]:
-    """Back-compat alias for :func:`repro.engine.request.parse_chain`."""
-    from repro.engine.request import parse_chain
-
-    return parse_chain(spec)
-
-
-def _build_inspect_stack(
-    guest: str, hosts: list[str], p: int, topology: str, kernel: str | None = None
-):
-    """Back-compat shim: the demo Stack for ``inspect``, now assembled
-    through the one shared :class:`~repro.engine.request.RunRequest`
-    path (same programs and parameters as before)."""
-    from repro.engine.request import RunRequest, build_stack
-
-    chain = guest if hosts == [guest] else "-on-".join([guest, *hosts])
-    return build_stack(
-        RunRequest(chain=chain, p=p, topology=topology, kernel=kernel)
-    )
 
 
 def _inspect(args) -> int:
@@ -534,7 +512,7 @@ def _campaign_spec(args):
     grid = _parse_axes(args.grid)
     base = [(name, values[0]) for name, values in _parse_axes(args.base)]
     return CampaignSpec(
-        name=args.store_name or args.name.replace(":", "-"),
+        name=args.store_name or args.name,
         target=args.name,
         grid=tuple(grid),
         base=tuple(base),
@@ -1098,8 +1076,7 @@ def main(argv: list[str] | None = None) -> int:
     camp.add_argument(
         "name",
         help="a built-in campaign name (see 'list'), or a target id "
-        "(theorem1, theorem2, cb, experiment:<ID>, chain:<spec>) "
-        "combined with --grid",
+        "(request, workload, theorem2, cb, demo, dist) combined with --grid",
     )
     camp.add_argument(
         "--grid",

@@ -51,12 +51,14 @@ class TestCampaignCLI:
         assert "rerun to resume" in capsys.readouterr().out
 
     def test_builtin_rejects_grid_flags(self, capsys):
-        assert run_cli("campaign", "th1-smoke", "--grid", "x=1") == 2
+        assert run_cli("campaign", "th1-grid", "--grid", "x=1") == 2
         assert "built-in campaign" in capsys.readouterr().err
 
-    def test_unknown_target_is_a_usage_error(self, capsys):
+    def test_unknown_target_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert run_cli("campaign", "nope") == 2
         assert "unknown campaign target" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no store was opened
 
     def test_gate_update_then_check(self, tmp_path, capsys):
         store = str(tmp_path / "store")

@@ -1,8 +1,10 @@
 """Regression gate: fit residual families across a sweep, compare bounds."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.campaign import RegressionGate, fit_bounds
+from repro.campaign import CAMPAIGNS, RegressionGate, fit_bounds, run_campaign
 from repro.campaign.gate import GATE_KIND
 from repro.campaign.io import load_json
 
@@ -111,3 +113,17 @@ class TestGate:
         dump_json(path, "something.else", {"families": {}})
         with pytest.raises(ValueError, match="schema kind"):
             RegressionGate().check(records(), path)
+
+
+class TestCommittedBaseline:
+    def test_th1_grid_passes_its_committed_baseline(self, tmp_path):
+        """The built-in Theorem 1 sweep, run in process, fits the
+        committed ``campaign_th1.json`` (the CI campaign-smoke gate)."""
+        baseline = (
+            Path(__file__).resolve().parents[2]
+            / "benchmarks" / "baselines" / "campaign_th1.json"
+        )
+        report = run_campaign(CAMPAIGNS["th1-grid"], store_dir=tmp_path, parallel=1)
+        assert report.ok and report.ran == len(CAMPAIGNS["th1-grid"]) == 24
+        result = RegressionGate().check(report.records(), baseline)
+        assert result.ok, result.render()

@@ -62,7 +62,7 @@ class TestKeys:
         pt = {"x": 1, "seed": 0}
         k = point_key("demo", pt, "fp")
         assert point_key("demo", {"x": 2, "seed": 0}, "fp") != k
-        assert point_key("theorem1", pt, "fp") != k
+        assert point_key("cb", pt, "fp") != k
         assert point_key("demo", pt, "fp2") != k
 
     def test_key_ignores_dict_insertion_order(self):

@@ -39,10 +39,6 @@ class TestRegisterTarget:
         register_target("v", lambda point, obs=None: {"v": 2}, replace=True)
         assert run_point("v", {}) == {"v": 2}
 
-    def test_colon_names_rejected(self, scratch_registry):
-        with pytest.raises(ParameterError, match="may not contain ':'"):
-            register_target("experiment:fake", lambda point, obs=None: {})
-
     def test_empty_name_and_non_callable_rejected(self, scratch_registry):
         with pytest.raises(ParameterError, match="non-empty string"):
             register_target("  ", lambda point, obs=None: {})
@@ -54,7 +50,7 @@ class TestRegisterTarget:
             resolve_target("no-such-target")
 
     def test_builtins_are_registered_through_the_public_api(self):
-        for name in ("theorem1", "theorem2", "cb", "demo", "dist", "request"):
+        for name in ("theorem2", "cb", "demo", "dist", "request", "workload"):
             assert name in TARGETS, name
 
 

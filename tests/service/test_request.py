@@ -79,17 +79,16 @@ class TestStackRoundTrip:
         with pytest.raises(ProgramError, match="not built from a RunRequest"):
             stack.to_request()
 
-    def test_request_build_matches_inspect_build(self):
-        """The one shared assembly path really is the CLI's: identical
-        chain, identical result."""
-        from repro.experiments import _build_inspect_stack
+    def test_request_build_matches_inspect_cli(self, capsys):
+        """The one shared assembly path really is the CLI's: the
+        ``inspect`` result row equals the request-built stack's."""
+        from repro.experiments import main
 
-        req = RunRequest(chain="logp-on-bsp", p=4)
-        via_request = build_stack(req).run()
-        via_inspect = _build_inspect_stack("logp", ["bsp"], 4,
-                                           req.topology).run()
-        assert via_request.virtual_time == via_inspect.virtual_time
-        assert via_request.results == via_inspect.results
+        assert main(["inspect", "logp-on-bsp", "--p", "4", "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        doc = json.loads([ln for ln in lines if ln.startswith("{")][-1])
+        row = build_stack(RunRequest(chain="logp-on-bsp", p=4)).run().as_row()
+        assert doc["result"] == row
 
     def test_param_overrides_reach_the_machines(self):
         base = build_stack(RunRequest(chain="bsp-on-logp", p=4)).run()
